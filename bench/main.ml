@@ -1227,10 +1227,10 @@ let delta_report () =
     exit 1
   end
 
-(* --- Match plans: filtered retrieval vs cross product (BENCH_plan.json) - *)
+(* --- Candidate filter vs cross product (BENCH_plan.json) ------------- *)
 
-(* End-to-end ContextMatch runs under three plans at growing scale:
-   the default cross product, a full-width filter (k wide enough to
+(* End-to-end ContextMatch runs under three candidate-filter settings
+   at growing scale: none (the default cross product), a full-width filter (k wide enough to
    keep every textual candidate — must be byte-identical to the
    default, proving the filter path changes nothing when it prunes
    nothing), and a narrow top-k filter (must score strictly fewer
@@ -1240,7 +1240,7 @@ let delta_report () =
    at 16x scale.  Pair counts come from the run's own jobs-invariant
    accounting, not from timing. *)
 let plan_report () =
-  R.section "Match plans: q-gram candidate filter vs default cross product";
+  R.section "Candidate filter: q-gram top-k retrieval vs default cross product";
   R.note "expected shape: narrow filter scores fewer pairs; full-width filter identical output";
   let fp (r : Ctxmatch.Context_match.result) =
     String.concat "\n"
@@ -1259,11 +1259,11 @@ let plan_report () =
     let source = Workload.Retail.source params in
     let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
     let infer = Ctxmatch.Context_match.infer_of `Src_class ~target in
-    let run plan =
+    let run candidate_filter =
       let config =
         { (Ctxmatch.Config.with_seed Ctxmatch.Config.default base_seed) with
           Ctxmatch.Config.jobs = 1;
-          plan
+          candidate_filter
         }
       in
       let best = ref infinity in
@@ -1277,9 +1277,9 @@ let plan_report () =
       done;
       (!best, Option.get !last)
     in
-    let default_s, default_r = run Plan.Default in
-    let wide_s, wide_r = run (Plan.Filtered { k = 1024; tau = 0.0 }) in
-    let narrow_s, narrow_r = run (Plan.Filtered { k = 4; tau = 0.0 }) in
+    let default_s, default_r = run None in
+    let wide_s, wide_r = run (Some (1024, 0.0)) in
+    let narrow_s, narrow_r = run (Some (4, 0.0)) in
     let identical = fp default_r = fp wide_r in
     let default_pairs = default_r.Ctxmatch.Context_match.pairs_scored in
     let narrow_pairs = narrow_r.Ctxmatch.Context_match.pairs_scored in
@@ -1325,7 +1325,7 @@ let plan_report () =
     (Printf.sprintf "wrote BENCH_plan.json: identical = %b, filter reduces pairs at 16x = %b"
        all_identical fewer_at_16);
   if not all_identical then begin
-    Printf.eprintf "bench: plan canary failed: full-width filter differs from default plan\n";
+    Printf.eprintf "bench: plan canary failed: full-width filter differs from the unfiltered run\n";
     exit 1
   end;
   if not fewer_at_16 then begin

@@ -50,12 +50,13 @@ type t = {
           switch trades nothing but time, and exists for the kernel
           bench's baseline and for differential tests; see DESIGN.md,
           "Scoring kernel" *)
-  plan : Plan.spec;
-      (** operator graph for the StandardMatch phase (default
-          [Plan.Default], the legacy pipeline bit for bit).
-          [Plan.Filtered] inserts top-k q-gram candidate retrieval
-          before the filterable matchers; [Plan.Auto] picks by cost
-          model.  See DESIGN.md, "Match plans" *)
+  candidate_filter : (int * float) option;
+      (** [Some (k, tau)] restricts the filterable matchers
+          ({!Matching.Matchers.filterable}) to the top-[k] target
+          columns by q-gram cosine ([>= tau]) per textual source
+          attribute; [None] (default) scores every pair.  A filter wide
+          enough to keep every textual target gives the default's
+          output bit for bit.  See DESIGN.md, "Candidate filter" *)
 }
 
 val default : t
@@ -68,4 +69,15 @@ val with_omega : t -> float -> t
 val early : t -> t
 val late : t -> t
 val with_kernel : t -> bool -> t
-val with_plan : t -> Plan.spec -> t
+
+val candidate_filter_to_string : (int * float) option -> string
+(** [default], [filter:K], or [filter:K,TAU] with [TAU] printed as the
+    shortest decimal that reads back to the same float, so
+    [candidate_filter_of_string (candidate_filter_to_string f) = Ok f]
+    for every parseable [f]. *)
+
+val candidate_filter_of_string : string -> ((int * float) option, string) result
+(** Accepts [default] (alias [legacy]), [filter] (= [filter:16]),
+    [filter:K] and [filter:K,TAU] with [K > 0] and [TAU] in [0,1],
+    case- and space-insensitive.  Anything else, [auto] included, is
+    an [Error] with a message. *)

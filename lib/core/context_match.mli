@@ -27,21 +27,13 @@ type result = {
           expiries); empty on a clean run.  The surviving [matches] are
           exactly what a run without the quarantined units would have
           produced — see DESIGN.md, "Failure semantics" *)
-  plan : Plan.t;
-      (** the operator graph the StandardMatch phase executed
-          (resolved from [config.plan]) *)
   pairs_scored : int;
       (** (matcher, source attr, target col) scoring events performed;
           jobs-invariant *)
   pairs_pruned : int;
-      (** scoring events skipped by the plan's filter stage (0 under
-          the default plan); jobs-invariant *)
+      (** scoring events skipped by [config.candidate_filter] (0
+          without one); jobs-invariant *)
 }
-
-val shape_of : source:Database.t -> target:Database.t -> Plan.Cost.shape
-(** Workload shape for the plan cost model, computed from the two
-    schemas alone (used by [explain-plan] and [Plan.Auto]
-    resolution). *)
 
 val run :
   ?config:Config.t ->

@@ -98,32 +98,8 @@ let default_suite =
 let instance_only_suite =
   [ qgram_matcher; word_matcher; numeric_matcher; range_matcher; value_overlap_matcher; type_matcher ]
 
-(* Plan-level descriptor of a matcher: cost class, applicability shape
-   and whether top-k candidate filtering may restrict its
-   textual-textual pairs.  Known matchers get measured classes; an
-   unknown (user-defined) matcher is assumed instance-priced,
-   unfilterable and universally applicable — the conservative choice
-   for both the cost model and result preservation. *)
-let plan_spec (m : Matcher.t) =
-  let kernel = m.Matcher.kernel = Matcher.Qgram_cosine in
-  let cls, applies, filterable =
-    match m.Matcher.name with
-    | "name" -> (Plan.Op.Cheap, Plan.Op.All, false)
-    | "qgram" -> (Plan.Op.Qgram, Plan.Op.Textual, true)
-    | "word" -> (Plan.Op.Instance, Plan.Op.Textual, true)
-    | "numeric" -> (Plan.Op.Cheap, Plan.Op.Numeric, false)
-    | "range" -> (Plan.Op.Instance, Plan.Op.Numeric, false)
-    | "value-overlap" -> (Plan.Op.Instance, Plan.Op.All, true)
-    | "type" -> (Plan.Op.Trivial, Plan.Op.All, false)
-    | _ -> ((if kernel then Plan.Op.Qgram else Plan.Op.Instance), Plan.Op.All, false)
-  in
-  {
-    Plan.Op.m_name = m.Matcher.name;
-    m_weight = m.Matcher.weight;
-    m_kernel = kernel;
-    m_filterable = filterable;
-    m_class = cls;
-    m_applies = applies;
-  }
-
-let plan_specs ms = List.map plan_spec ms
+(* Matchers whose textual-textual pairs a candidate filter may
+   restrict.  Every other matcher, a user-defined one included, scores
+   every pair: the conservative choice for result preservation. *)
+let filterable (m : Matcher.t) =
+  match m.Matcher.name with "qgram" | "word" | "value-overlap" -> true | _ -> false

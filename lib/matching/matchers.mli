@@ -42,9 +42,8 @@ val instance_only_suite : Matcher.t list
 (** Instance-based matchers only (no name matcher) — used to check that
     contextual matching does not ride on attribute names. *)
 
-val plan_spec : Matcher.t -> Plan.Op.matcher_spec
-(** Plan-level descriptor (cost class, applicability, filterability)
-    of a matcher; unknown matchers get a conservative spec
-    (instance-priced, unfilterable, applies to all pairs). *)
-
-val plan_specs : Matcher.t list -> Plan.Op.matcher_spec list
+val filterable : Matcher.t -> bool
+(** Whether a candidate filter may restrict this matcher's
+    textual-textual pairs: true for [qgram], [word] and
+    [value-overlap], by name; false for every other matcher,
+    user-defined ones included. *)

@@ -5,11 +5,8 @@ type target_col = { table : string; column : Column.t }
 type model = {
   gated : bool;
   matchers : Matcher.t list;
-  (* the operator graph this model was built under; the default plan
-     reproduces the legacy hard-wired pipeline bit-identically *)
-  plan : Plan.t;
   (* (matcher, source attr, target col) scoring events performed /
-     skipped by the plan's filter — merged deterministically on the
+     skipped by the candidate filter — merged deterministically on the
      main domain, so both are jobs-invariant *)
   pairs_scored : int;
   pairs_pruned : int;
@@ -39,7 +36,6 @@ let source m = m.source_db
 let target m = m.target_db
 let profile_cache m = m.cache
 let kernel_enabled m = m.kernel <> None
-let plan m = m.plan
 let pairs_scored m = m.pairs_scored
 let pairs_pruned m = m.pairs_pruned
 let cache_stats m = (Profile_cache.hits m.cache, Profile_cache.misses m.cache)
@@ -276,8 +272,8 @@ type built_pair = {
   bp_pruned : int;
 }
 
-(* Top-k retrieval by raw q-gram cosine — shared by the plan's
-   [Filter] stage and [top_qgram_matches].  With a kernel, one pass
+(* Top-k retrieval by raw q-gram cosine — shared by the candidate
+   filter and [top_qgram_matches].  With a kernel, one pass
    over the inverted index scores only the targets sharing a gram with
    the probe (the rest are provable zeros, costing nothing); without
    one, every textual target is scored pairwise.  Both paths run the
@@ -286,7 +282,7 @@ type built_pair = {
    asserts it.  Note [tau = 0.0] keeps zero-score textual targets in
    both paths (0 >= 0), so a filter with a full-width k degenerates to
    the unfiltered pipeline exactly. *)
-let qgram_candidates_raw ?pool ~kernel ~target_cols profile ~k ~tau =
+let qgram_candidates ?pool ~kernel ~target_cols profile ~k ~tau =
   match kernel with
   | Some kern -> Score_kernel.top_k ?pool kern profile ~k ~tau
   | None ->
@@ -310,22 +306,9 @@ let qgram_candidates_raw ?pool ~kernel ~target_cols profile ~k ~tau =
     |> List.filteri (fun i _ -> i < k)
     |> List.map (fun (_, name, s) -> (name, s))
 
-(* Probe wrapper: every candidate retrieval — from the plan's filter
-   stage or [top_qgram_matches] — records one [plan.filter_probes]
-   event and its wall time on [plan.filter_ns], which is what the cost
-   model's [ns_filter] rate calibrates from. *)
-let qgram_candidates ?pool ~kernel ~target_cols profile ~k ~tau =
-  let observed = !Obs.Recorder.enabled in
-  let t0 = if observed then Robust.Deadline.now_ns () else 0L in
-  let result = qgram_candidates_raw ?pool ~kernel ~target_cols profile ~k ~tau in
-  if observed then begin
-    Obs.Metrics.incr "plan.filter_probes";
-    Obs.Metrics.observe_ns "plan.filter_ns" (Int64.sub (Robust.Deadline.now_ns ()) t0)
-  end;
-  result
-
 let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?report
-    ?(deadline = Robust.Deadline.none) ?store ?(kernel = true) ?prepared ?plan ~source ~target () =
+    ?(deadline = Robust.Deadline.none) ?store ?(kernel = true) ?prepared ?candidate_filter ~source
+    ~target () =
   Obs.Trace.with_span "standard_match.build" @@ fun () ->
   let cache = Profile_cache.create () in
   (match store with
@@ -360,32 +343,13 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
      bit-identical either way. *)
   Profile_cache.set_partitioning cache kernel;
   let score_kernel = if kernel then prepared.pt_kernel else None in
-  (* Resolve and validate the operator graph.  The default plan is the
-     legacy pipeline verbatim (single fused score stage, no filter), so
-     a caller that passes no plan gets bit-identical behaviour to the
-     pre-plan code.  The filter's candidate retrieval works with or
-     without a kernel (the exact fallback coincides by construction),
-     so a plan's result never depends on the kernel switch. *)
-  let specs = Matchers.plan_specs matchers in
-  let plan =
-    match plan with Some p -> p | None -> Plan.default ~gated ~matchers:specs ()
-  in
-  (match Plan.validate ~matchers:specs plan with
-  | Ok () -> ()
-  | Error msg -> invalid_arg ("Standard_match.build: " ^ msg));
-  let filter = Plan.filter_params plan in
-  (* Executable matchers in plan scoring order.  Scoring order is
-     result-invariant — every per-matcher artefact is keyed by matcher
-     name and the combination step walks [matchers] in its original
-     order — so a rewrite that reorders matchers changes cost only. *)
-  let exec_matchers =
-    List.map
-      (fun name -> List.find (fun (mm : Matcher.t) -> String.equal mm.Matcher.name name) matchers)
-      (Plan.score_order plan)
-  in
-  let spec_of (mm : Matcher.t) =
-    List.find (fun s -> String.equal s.Plan.Op.m_name mm.Matcher.name) specs
-  in
+  (* The candidate filter's retrieval works with or without a kernel
+     (the exact fallback coincides by construction), so a filtered
+     result never depends on the kernel switch. *)
+  (match candidate_filter with
+  | Some (k, tau) when k < 1 || not (tau >= 0.0 && tau <= 1.0) ->
+    invalid_arg (Printf.sprintf "Standard_match.build: candidate filter k=%d tau=%g" k tau)
+  | _ -> ());
   let pairs =
     List.concat_map
       (fun src_tbl ->
@@ -445,16 +409,14 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
                match Column.profile col with _ -> () | exception _ -> ())
              textual_pairs);
         let qgram_in_suite =
-          List.exists
-            (fun (mm : Matcher.t) -> mm.Matcher.kernel = Matcher.Qgram_cosine)
-            exec_matchers
+          List.exists (fun (mm : Matcher.t) -> mm.Matcher.kernel = Matcher.Qgram_cosine) matchers
         in
         List.iter
           (fun (tname, attr, col) ->
             match Column.profile col with
             | exception _ -> ()
             | profile -> (
-              match (filter, score_kernel) with
+              match (candidate_filter, score_kernel) with
               | Some (k, ftau), _ ->
                 Hashtbl.replace pre_filter (tname, attr)
                   (qgram_candidates ~pool ~kernel:score_kernel ~target_cols profile ~k
@@ -468,7 +430,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
     Robust.Fault.check Robust.Fault.Matcher_score ~key:(src_name ^ "." ^ src_attr);
     let src_col = Column.of_table ~cache src_tbl src_attr in
     let src_textual = Relational.Attribute.is_textual (Column.attribute src_col) in
-    (* Plan [Filter] stage: top-k q-gram candidate retrieval for this
+    (* Candidate filter: top-k q-gram candidate retrieval for this
        source attribute.  Filterable matchers then score their
        textual-textual pairs only against survivors; every other
        (matcher, pair) combination is untouched.  The survivor table
@@ -476,7 +438,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
        matcher reuses directly — the filter pays for that matcher's
        scoring, it never duplicates it. *)
     let filter_cands =
-      match filter with
+      match candidate_filter with
       | Some (k, ftau) when src_textual ->
         let cands =
           match Hashtbl.find_opt pre_filter (src_name, src_attr) with
@@ -491,12 +453,10 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
       | _ -> None
     in
     let pruned = ref 0 in
-    let observed = !Obs.Recorder.enabled in
     let bp_scores =
       List.map
         (fun matcher ->
-          let spec = spec_of matcher in
-          let t0 = if observed then Robust.Deadline.now_ns () else 0L in
+          let filterable = Matchers.filterable matcher in
           (* Raw scores of this matcher from this source attribute to
              every applicable target attribute. *)
           (* Inapplicable pairs count as score 0 in the distribution
@@ -512,7 +472,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
             applicable := (tgt_table, tgt_attr, s) :: !applicable;
             scores := s :: !scores
           in
-          let filtering = filter_cands <> None && spec.Plan.Op.m_filterable in
+          let filtering = filter_cands <> None && filterable in
           (* The q-gram matcher is batch-scored through the inverted
              index: one pass over the source profile's postings replaces
              a merge join per target.  A target has a kernel slot iff it
@@ -537,8 +497,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
               let tgt_attr = Column.name tgt.column in
               match filter_cands with
               | Some cands
-                when spec.Plan.Op.m_filterable
-                     && Relational.Attribute.is_textual (Column.attribute tgt.column) -> (
+                when filterable && Relational.Attribute.is_textual (Column.attribute tgt.column) -> (
                 match Hashtbl.find_opt cands (tgt.table, tgt_attr) with
                 | Some s when matcher.Matcher.kernel = Matcher.Qgram_cosine ->
                   (* exact cosine from the filter probe; same clamp
@@ -561,18 +520,12 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
                     record tgt.table tgt_attr (Matcher.score matcher src_col tgt.column)
                   else scores := 0.0 :: !scores))
             target_cols;
-          if observed then begin
-            let cls = Plan.Op.class_name spec.Plan.Op.m_class in
-            Obs.Metrics.add ("plan.score_pairs." ^ cls) (List.length !applicable);
-            Obs.Metrics.observe_ns ("plan.score_ns." ^ cls)
-              (Int64.sub (Robust.Deadline.now_ns ()) t0)
-          end;
           let stats =
             if !applicable <> [] then Some (Normalize.of_scores (Array.of_list !scores))
             else None
           in
           (matcher.Matcher.name, !applicable, stats))
-        exec_matchers
+        matchers
     in
     let bp_scored =
       List.fold_left (fun acc (_, applicable, _) -> acc + List.length applicable) 0 bp_scores
@@ -636,7 +589,6 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
   {
     gated;
     matchers;
-    plan;
     pairs_scored = !pairs_scored;
     pairs_pruned = !pairs_pruned;
     source_db = source;

@@ -88,7 +88,7 @@ val build :
   ?store:Store.t ->
   ?kernel:bool ->
   ?prepared:prepared_target ->
-  ?plan:Plan.t ->
+  ?candidate_filter:int * float ->
   source:Database.t ->
   target:Database.t ->
   unit ->
@@ -135,17 +135,16 @@ val build :
     cost moves (to registration time, once).  [kernel:false] ignores a
     prepared kernel for this build without affecting any score.
 
-    [plan] is the operator graph to execute (see {!Plan}).  Omitted, it
-    defaults to {!Plan.default} over the given matchers — the legacy
-    hard-wired pipeline, bit for bit.  A plan with a [Filter] stage
-    retrieves top-k q-gram candidates per textual source attribute and
-    restricts {e filterable} matchers' textual pairs to the survivors
-    (filtered-out pairs keep a 0 in the normalisation distribution but
-    contribute no confidence, exactly like inapplicable pairs); its
+    [candidate_filter] [(k, tau)] retrieves the top-[k] target columns
+    by q-gram cosine ([>= tau]) per textual source attribute and
+    restricts the {!Matchers.filterable} matchers' textual pairs to
+    those survivors (filtered-out pairs keep a 0 in the normalisation
+    distribution but contribute no confidence, exactly like
+    inapplicable pairs).  Omitted, every pair is scored.  Filtered
     results are invariant under the [kernel] switch, and with a
-    full-width [k] and a zero filter threshold it degenerates to the
-    default plan exactly.  Raises [Invalid_argument] if the plan's
-    matcher set differs from [matchers]. *)
+    full-width [k] and [tau = 0] they equal the unfiltered model's
+    exactly.  Raises [Invalid_argument] unless [k >= 1] and [tau] is
+    in [0,1]. *)
 
 val source : model -> Database.t
 val target : model -> Database.t
@@ -157,16 +156,13 @@ val kernel_enabled : model -> bool
 (** Whether the model holds a frozen {!Score_kernel} (built with
     [kernel:true] and at least one textual target column). *)
 
-val plan : model -> Plan.t
-(** The operator graph this model was built under. *)
-
 val pairs_scored : model -> int
 (** (matcher, source attribute, target column) scoring events actually
     performed; jobs-invariant. *)
 
 val pairs_pruned : model -> int
-(** Scoring events skipped by the plan's [Filter] stage (0 under the
-    default plan); jobs-invariant. *)
+(** Scoring events skipped by the candidate filter (0 without one);
+    jobs-invariant. *)
 
 val top_qgram_matches :
   model -> src_table:string -> src_attr:string -> k:int -> tau:float ->

@@ -14,7 +14,7 @@ type match_request = {
   mr_kernel : bool;
   mr_lenient : bool;
   mr_faults : Robust.Fault.arming list;
-  mr_plan : Plan.spec option;
+  mr_plan : (int * float) option option;
 }
 
 (* Appended rows stay raw JSON here: typing a cell needs the target
@@ -32,7 +32,7 @@ type request =
       rt_name : string;
       rt_tables : table_payload list;
       rt_kernel : bool;
-      rt_plan : Plan.spec;
+      rt_plan : (int * float) option;
     }
   | Match of match_request
   | Update_target of update_request
@@ -120,9 +120,10 @@ let faults_of json =
       l
   | Some _ -> bad "bad-request" "field \"faults\" must be a list of {site, rate, seed} objects"
 
-(* "plan" is a spec string ("default" | "auto" | "filter[:K[,TAU]]");
-   absent means "no opinion" for a match request (use the target's
-   registered plan) and [Plan.Default] for a registration. *)
+(* "plan" is a candidate-filter spec string ("default" |
+   "filter[:K[,TAU]]"); absent means "no opinion" for a match request
+   (use the target's registered filter) and no filter for a
+   registration. *)
 let plan_of_opt json =
   match field_opt json "plan" with
   | None | Some Json.Null -> None
@@ -130,8 +131,8 @@ let plan_of_opt json =
     match Json.to_string_opt v with
     | None -> bad "bad-request" "field \"plan\" must be a string"
     | Some s -> (
-      match Plan.spec_of_string s with
-      | Ok spec -> Some spec
+      match Ctxmatch.Config.candidate_filter_of_string s with
+      | Ok filter -> Some filter
       | Error msg -> bad "bad-request" "%s" msg))
 
 let rows_of json name =
@@ -214,7 +215,7 @@ let request_of_line line =
                    rt_name = get_required Json.to_string_opt "a string" json "name";
                    rt_tables = tables_of json "tables";
                    rt_kernel = get_bool json "kernel" ~default:true;
-                   rt_plan = Option.value (plan_of_opt json) ~default:Plan.Default;
+                   rt_plan = Option.join (plan_of_opt json);
                  })
           | Some "match" -> Ok (Match (match_of_json json))
           | Some "update-target" -> Ok (Update_target (update_of_json json))

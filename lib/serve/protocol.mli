@@ -53,10 +53,11 @@ type match_request = {
   mr_faults : Robust.Fault.arming list;
       (** fault sites to arm for this request only (the deterministic
           fault harness drives the daemon through this) *)
-  mr_plan : Plan.spec option;
-      (** operator-graph override for this request ("plan" spec string:
-          default | auto | filter[:K[,TAU]]); [None] uses the target's
-          registered plan *)
+  mr_plan : (int * float) option option;
+      (** candidate-filter override for this request ("plan" spec
+          string: default | filter[:K[,TAU]], see
+          {!Ctxmatch.Config.candidate_filter_of_string}); [None] uses
+          the target's registered filter *)
 }
 
 type update_request = {
@@ -74,9 +75,9 @@ type request =
       rt_name : string;
       rt_tables : table_payload list;
       rt_kernel : bool;
-      rt_plan : Plan.spec;
-          (** default plan for matches against this target (optional
-              "plan" field; [Plan.Default] when absent) *)
+      rt_plan : (int * float) option;
+          (** default candidate filter for matches against this target
+              (optional "plan" field; no filter when absent) *)
     }
   | Match of match_request
   | Update_target of update_request
@@ -117,8 +118,8 @@ val shutdown_json : Json.t
 
 val register_json : ?kernel:bool -> ?plan:string -> name:string -> (string * string) list -> Json.t
 (** Tables as [(name, csv)] pairs; [plan] is a spec string
-    ([default | auto | filter[:K[,TAU]]]) setting the target's default
-    operator graph. *)
+    ([default | filter[:K[,TAU]]]) setting the target's default
+    candidate filter. *)
 
 val update_json :
   ?appends:Json.t list list -> ?deletes:int list -> target:string -> table:string -> unit -> Json.t

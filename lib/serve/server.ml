@@ -61,7 +61,7 @@ type target_entry = {
   te_issues : Robust.Error.t list;  (* ingest quarantine at registration *)
   te_breaker : breaker;
   te_maintain : Delta.Maintain.t;
-  te_plan : Plan.spec;  (* default operator graph for matches against this target *)
+  te_plan : (int * float) option;  (* default candidate filter for matches against this target *)
 }
 
 type work =
@@ -69,7 +69,7 @@ type work =
       w_name : string;
       w_db : Relational.Database.t;
       w_kernel : bool;
-      w_plan : Plan.spec;
+      w_plan : (int * float) option;
       w_ingest : Robust.Error.t list;
     }
   | W_match of {
@@ -303,7 +303,7 @@ let register_reply t ~name ~db ~kernel ~plan ~ingest =
       ("tables", Json.Int (List.length (Relational.Database.tables db)));
       ("columns", Json.Int (Matching.Standard_match.prepared_columns prepared));
       ("kernel", Json.Bool (Matching.Standard_match.prepared_kernel prepared));
-      ("plan", Json.String (Plan.spec_to_string plan));
+      ("plan", Json.String (Ctxmatch.Config.candidate_filter_to_string plan));
       ( "issues",
         Protocol.error_strings (ingest @ Matching.Standard_match.prepared_issues prepared) );
     ]
@@ -395,8 +395,8 @@ let match_reply t ~(mr : Protocol.match_request) ~source ~ingest ~deadline =
           kernel = mr.Protocol.mr_kernel;
           faults = mr.Protocol.mr_faults;
           (* per-request override wins; otherwise the target's
-             registered default plan *)
-          plan = Option.value mr.Protocol.mr_plan ~default:entry.te_plan;
+             registered default filter *)
+          candidate_filter = Option.value mr.Protocol.mr_plan ~default:entry.te_plan;
         }
       in
       let infer = Ctxmatch.Context_match.infer_of mr.Protocol.mr_algorithm ~target:entry.te_db in
@@ -443,7 +443,9 @@ let match_reply t ~(mr : Protocol.match_request) ~source ~ingest ~deadline =
           ("cache_hits", Json.Int result.cache_hits);
           ("cache_misses", Json.Int result.cache_misses);
           ("profile_builds", Json.Int result.profile_builds);
-          ("plan", Json.String result.plan.Plan.plan_name);
+          ( "plan",
+            Json.String
+              (Ctxmatch.Config.candidate_filter_to_string config.Ctxmatch.Config.candidate_filter) );
           ("pairs_scored", Json.Int result.pairs_scored);
           ("pairs_pruned", Json.Int result.pairs_pruned);
           ("issues", Protocol.error_strings result.issues);
@@ -771,7 +773,7 @@ let list_targets_reply t =
                ("tables", Json.Int (List.length (Relational.Database.tables e.te_db)));
                ("columns", Json.Int (Matching.Standard_match.prepared_columns e.te_prepared));
                ("kernel", Json.Bool (Matching.Standard_match.prepared_kernel e.te_prepared));
-               ("plan", Json.String (Plan.spec_to_string e.te_plan));
+               ("plan", Json.String (Ctxmatch.Config.candidate_filter_to_string e.te_plan));
                ("breaker", Json.String (breaker_state_name b.b_state));
                ("failures", Json.Int b.b_failures);
                ("trips", Json.Int b.b_trips);

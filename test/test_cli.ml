@@ -188,9 +188,39 @@ let test_observability_flags () =
       List.iter
         (fun field ->
           Alcotest.(check bool) ("metrics has " ^ field) true (contains metrics field))
-        [ "\"spans\""; "\"pool\""; "\"utilization\""; "cache.profile.lookups" ];
+        [
+          "\"spans\"";
+          "\"pool\"";
+          "\"utilization\"";
+          "cache.profile.lookups";
+          "plan.pairs_scored";
+          "kernel.arena.bytes";
+        ];
       Alcotest.(check bool) "trace written" true
         (contains (slurp trace_file) "\"path\""))
+
+(* --plan: a candidate filter earns a summary line with its pairs
+   accounting; a spec outside default | filter[:K[,TAU]] is a usage
+   error *)
+let test_plan_option () =
+  in_temp_dir (fun dir ->
+      grades_fixture dir;
+      let base =
+        Printf.sprintf "%s match -s %s/narrow.csv -t %s/wide.csv --tau 0.4" cli dir dir
+      in
+      let status, output = run_capture (base ^ " --plan filter:4") in
+      Alcotest.(check bool) "filter exit 0" true (status = Unix.WEXITED 0);
+      let plan_line =
+        String.split_on_char '\n' output
+        |> List.find_opt (fun l -> String.starts_with ~prefix:"# plan " l)
+      in
+      (match plan_line with
+      | Some line ->
+        Scanf.sscanf line "# plan filter:4: %d pairs scored, %d pruned%!" (fun scored _ ->
+            Alcotest.(check bool) "pairs scored" true (scored > 0))
+      | None -> Alcotest.failf "no '# plan' line in:\n%s" output);
+      let status, _ = run_capture (base ^ " --plan auto") in
+      Alcotest.(check bool) "auto: usage exit" true (status = Unix.WEXITED 2))
 
 let test_bad_input_fails () =
   (* a nonexistent file is rejected by argument validation: usage (2) *)
@@ -228,5 +258,6 @@ let suite =
     Alcotest.test_case "demo grades" `Slow test_demo_command;
     Alcotest.test_case "xml input" `Slow test_xml_input;
     Alcotest.test_case "observability flags" `Slow test_observability_flags;
+    Alcotest.test_case "--plan filter line, auto rejected" `Slow test_plan_option;
     Alcotest.test_case "bad input fails" `Quick test_bad_input_fails;
   ]
