@@ -537,8 +537,15 @@ let micro () =
     Textsim.Profile.of_strings_array
       (Array.init 200 (fun _ -> (Workload.Corpus.album rng).Workload.Corpus.album_title))
   in
-  let nb = Learn.Naive_bayes.create () in
-  Array.iter (fun t -> Learn.Naive_bayes.train nb ~label:"book" (Textsim.Tokenize.trigrams t)) titles;
+  let dict =
+    Textsim.Gram_dict.of_grams (List.concat_map Textsim.Tokenize.trigrams (Array.to_list titles))
+  in
+  let nb = Learn.Naive_bayes.create ~ids:(Textsim.Gram_dict.size dict) () in
+  Array.iter
+    (fun t ->
+      Learn.Naive_bayes.train nb ~label:"book"
+        (Textsim.Gram_dict.encode dict (Textsim.Tokenize.trigrams t)))
+    titles;
   let params = { retail_params with Workload.Retail.rows = 200; target_rows = 100 } in
   let source = Workload.Retail.source params in
   let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
@@ -556,7 +563,8 @@ let micro () =
         Test.make ~name:"trigrams" (Staged.stage (fun () -> Textsim.Tokenize.trigrams "the secret history of the forgotten kingdom"));
         Test.make ~name:"profile-cosine" (Staged.stage (fun () -> Textsim.Profile.cosine profile_a profile_b));
         Test.make ~name:"nb-classify" (Staged.stage (fun () ->
-            Learn.Naive_bayes.classify nb (Textsim.Tokenize.trigrams "midnight groove sessions")));
+            Learn.Naive_bayes.classify nb
+              (Textsim.Gram_dict.encode dict (Textsim.Tokenize.trigrams "midnight groove sessions"))));
         Test.make ~name:"levenshtein" (Staged.stage (fun () ->
             Textsim.Simmetrics.levenshtein "contextual" "conceptual"));
         Test.make ~name:"phi" (Staged.stage (fun () -> Stats.Distribution.phi 1.234));

@@ -122,78 +122,82 @@ let teacher =
   {
     Clustered_view_gen.teacher_name = "cluster";
     prepare =
-      (fun ~table ~h ~label_of ~train ->
-        (* cluster count = number of labels in the training rows *)
-        let labels =
-          Array.to_list train |> List.map label_of |> List.sort_uniq String.compare
+      (fun table ~h ->
+        let column =
+          Array.map (Clustered_view_gen.feature_of table ~h) (Relational.Table.rows table)
         in
-        let k = max 2 (List.length labels) in
-        let rng = Stats.Rng.create (Hashtbl.hash (h, Array.length train)) in
-        let features = Array.map (Clustered_view_gen.feature_of table ~h) train in
-        let numbers =
-          Array.to_list features
-          |> List.filter_map (function
-               | Learn.Classifier.Number x -> Some x
-               | Learn.Classifier.Text _ | Learn.Classifier.Missing -> None)
-          |> Array.of_list
-        in
-        let texts =
-          Array.to_list features
-          |> List.filter_map (function
-               | Learn.Classifier.Text s -> Some s
-               | Learn.Classifier.Number _ | Learn.Classifier.Missing -> None)
-          |> Array.of_list
-        in
-        let centres = if Array.length numbers > 0 then kmeans_1d rng ~k numbers else [||] in
-        let text_clusters =
-          if Array.length texts > 0 then Text_clusters.build rng ~k texts
-          else { Text_clusters.medoids = [||] }
-        in
-        let cluster_of feature =
-          match feature with
-          | Learn.Classifier.Missing -> None
-          | Learn.Classifier.Number x ->
-            if Array.length centres = 0 then None else Some (`Num (nearest centres x))
-          | Learn.Classifier.Text s ->
-            if Array.length text_clusters.Text_clusters.medoids = 0 then None
-            else Some (`Text (Text_clusters.assign text_clusters (Text_clusters.profile_of s)))
-        in
-        (* tag each cluster with its majority training label *)
-        let majority = Hashtbl.create 16 in
-        Array.iteri
-          (fun i feature ->
-            match cluster_of feature with
-            | None -> ()
-            | Some cluster ->
-              let label = label_of train.(i) in
-              let counts =
-                match Hashtbl.find_opt majority cluster with
-                | Some counts -> counts
-                | None ->
-                  let counts = Hashtbl.create 4 in
-                  Hashtbl.add majority cluster counts;
-                  counts
-              in
-              let c = try Hashtbl.find counts label with Not_found -> 0 in
-              Hashtbl.replace counts label (c + 1))
-          features;
-        let label_of_cluster cluster =
-          match Hashtbl.find_opt majority cluster with
-          | None -> None
-          | Some counts ->
-            Hashtbl.fold
-              (fun label n best ->
-                match best with
-                | Some (_, bn) when bn > n -> best
-                | Some (bl, bn) when bn = n && String.compare bl label <= 0 -> best
-                | Some _ | None -> Some (label, n))
-              counts None
-            |> Option.map fst
-        in
-        fun row ->
-          match cluster_of (Clustered_view_gen.feature_of table ~h row) with
-          | None -> None
-          | Some cluster -> label_of_cluster cluster);
+        fun ~label_of ~train ->
+          (* cluster count = number of labels in the training rows *)
+          let labels =
+            Array.to_list train |> List.map label_of |> List.sort_uniq String.compare
+          in
+          let k = max 2 (List.length labels) in
+          let rng = Stats.Rng.create (Hashtbl.hash (h, Array.length train)) in
+          let features = Array.map (fun i -> column.(i)) train in
+          let numbers =
+            Array.to_list features
+            |> List.filter_map (function
+                 | Learn.Classifier.Number x -> Some x
+                 | Learn.Classifier.Text _ | Learn.Classifier.Missing -> None)
+            |> Array.of_list
+          in
+          let texts =
+            Array.to_list features
+            |> List.filter_map (function
+                 | Learn.Classifier.Text s -> Some s
+                 | Learn.Classifier.Number _ | Learn.Classifier.Missing -> None)
+            |> Array.of_list
+          in
+          let centres = if Array.length numbers > 0 then kmeans_1d rng ~k numbers else [||] in
+          let text_clusters =
+            if Array.length texts > 0 then Text_clusters.build rng ~k texts
+            else { Text_clusters.medoids = [||] }
+          in
+          let cluster_of feature =
+            match feature with
+            | Learn.Classifier.Missing -> None
+            | Learn.Classifier.Number x ->
+              if Array.length centres = 0 then None else Some (`Num (nearest centres x))
+            | Learn.Classifier.Text s ->
+              if Array.length text_clusters.Text_clusters.medoids = 0 then None
+              else Some (`Text (Text_clusters.assign text_clusters (Text_clusters.profile_of s)))
+          in
+          (* tag each cluster with its majority training label *)
+          let majority = Hashtbl.create 16 in
+          Array.iteri
+            (fun i feature ->
+              match cluster_of feature with
+              | None -> ()
+              | Some cluster ->
+                let label = label_of train.(i) in
+                let counts =
+                  match Hashtbl.find_opt majority cluster with
+                  | Some counts -> counts
+                  | None ->
+                    let counts = Hashtbl.create 4 in
+                    Hashtbl.add majority cluster counts;
+                    counts
+                in
+                let c = try Hashtbl.find counts label with Not_found -> 0 in
+                Hashtbl.replace counts label (c + 1))
+            features;
+          let label_of_cluster cluster =
+            match Hashtbl.find_opt majority cluster with
+            | None -> None
+            | Some counts ->
+              Hashtbl.fold
+                (fun label n best ->
+                  match best with
+                  | Some (_, bn) when bn > n -> best
+                  | Some (bl, bn) when bn = n && String.compare bl label <= 0 -> best
+                  | Some _ | None -> Some (label, n))
+                counts None
+              |> Option.map fst
+          in
+          fun i ->
+            match cluster_of column.(i) with
+            | None -> None
+            | Some cluster -> label_of_cluster cluster);
   }
 
 let infer =

@@ -13,21 +13,21 @@
 
 open Relational
 
+(** A trained predictor for one column: [trainer ~label_of ~train]
+    learns from the rows whose indices are in [train] (indices into
+    [Table.rows]), and the result maps a row index to a predicted label
+    (None = abstain). *)
+type trainer = label_of:(int -> string) -> train:int array -> int -> string option
+
 (** How a classifier for (h -> label) is obtained.  SrcClassInfer trains
     on the source values of h; TgtClassInfer tags h-values with the most
     similar target column and learns tag -> label associations. *)
 type teacher = {
   teacher_name : string;
-  prepare :
-    table:Table.t ->
-    h:string ->
-    label_of:(Table.row -> string) ->
-    train:Table.row array ->
-    Table.row ->
-    string option;
-      (** [prepare ~table ~h ~label_of ~train] builds a predictor from
-          the training rows; the predictor maps a row to a predicted
-          label (None = abstain). *)
+  prepare : Table.t -> h:string -> trainer;
+      (** [prepare table ~h] encodes column h once.  {!generate} calls it
+          at most once per h and uses the trainer for every (h, l)
+          evaluation of the call. *)
 }
 
 type verdict = {
@@ -41,7 +41,8 @@ type verdict = {
 
 val feature_of : Table.t -> h:string -> Table.row -> Learn.Classifier.feature
 (** The classification feature of row's h-cell: text for strings/bools,
-    number for ints/floats, missing for nulls. *)
+    number for ints/floats, missing for nulls.  [feature_of table ~h]
+    resolves h's position once; apply it to many rows. *)
 
 val evaluate :
   Stats.Rng.t ->
@@ -70,4 +71,7 @@ val merged_families :
 val generate : Stats.Rng.t -> Config.t -> teacher -> Table.t -> View.family list
 (** Candidate view families of a table: for every categorical l, the
     simple family when some h classifies it significantly, plus (under
-    EarlyDisjuncts) the merged disjunctive families. *)
+    EarlyDisjuncts) the merged disjunctive families.  Each h is encoded
+    by the teacher at most once per call (span [infer.encode]); each
+    train/test round is one [infer.evaluate] span with [infer.train]
+    and [infer.classify] children, counted by [infer.evaluations]. *)

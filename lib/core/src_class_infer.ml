@@ -2,16 +2,16 @@ let teacher =
   {
     Clustered_view_gen.teacher_name = "src-class";
     prepare =
-      (fun ~table ~h ~label_of ~train ->
-        let classifier = Learn.Classifier.create () in
-        Array.iter
-          (fun row ->
-            match Clustered_view_gen.feature_of table ~h row with
-            | Learn.Classifier.Missing -> ()
-            | feature -> Learn.Classifier.train classifier ~label:(label_of row) feature)
-          train;
-        fun row ->
-          Learn.Classifier.classify classifier (Clustered_view_gen.feature_of table ~h row));
+      (fun table ~h ->
+        let column =
+          Learn.Classifier.column
+            (Array.map (Clustered_view_gen.feature_of table ~h) (Relational.Table.rows table))
+        in
+        Obs.Metrics.add "infer.tokens_encoded" (Learn.Classifier.tokens_encoded column);
+        fun ~label_of ~train ->
+          let classifier = Learn.Classifier.create column in
+          Array.iter (fun i -> Learn.Classifier.train classifier ~label:(label_of i) i) train;
+          Learn.Classifier.classify classifier);
   }
 
 let infer =

@@ -1,13 +1,16 @@
 open Relational
 
 type tagger = {
+  dict : Textsim.Gram_dict.t;  (** the target's text grams *)
   text : Learn.Naive_bayes.t;
   numeric : Learn.Gaussian_nb.t;
 }
 
 let make_tagger target_db =
-  let text = Learn.Naive_bayes.create () in
   let numeric = Learn.Gaussian_nb.create () in
+  (* Collect the target's text values first, so their grams can be
+     interned before the naive Bayes tables are sized. *)
+  let documents = ref [] in
   List.iter
     (fun table ->
       let table_name = Table.name table in
@@ -20,19 +23,25 @@ let make_tagger target_db =
               | Value.Null -> ()
               | Value.Int n -> Learn.Gaussian_nb.train numeric ~label (float_of_int n)
               | Value.Float f -> Learn.Gaussian_nb.train numeric ~label f
-              | Value.String s ->
-                Learn.Naive_bayes.train text ~label (Textsim.Tokenize.trigrams s)
-              | Value.Bool b ->
-                Learn.Naive_bayes.train text ~label (Textsim.Tokenize.trigrams (string_of_bool b)))
+              | Value.String s -> documents := (label, s) :: !documents
+              | Value.Bool b -> documents := (label, string_of_bool b) :: !documents)
             (Table.column table attr.name))
         (Schema.attributes (Table.schema table)))
     (Database.tables target_db);
-  { text; numeric }
+  let documents = Array.of_list (List.rev !documents) in
+  let dict, ids =
+    Textsim.Gram_dict.intern (fun (_, s) -> Textsim.Tokenize.trigrams s) documents
+  in
+  let text = Learn.Naive_bayes.create ~ids:(Textsim.Gram_dict.size dict) () in
+  Array.iteri (fun i (label, _) -> Learn.Naive_bayes.train text ~label ids.(i)) documents;
+  { dict; text; numeric }
+
+let text_ids tagger s = Textsim.Gram_dict.encode tagger.dict (Textsim.Tokenize.trigrams s)
 
 let tag tagger feature =
   match feature with
   | Learn.Classifier.Missing -> None
-  | Learn.Classifier.Text s -> Learn.Naive_bayes.classify tagger.text (Textsim.Tokenize.trigrams s)
+  | Learn.Classifier.Text s -> Learn.Naive_bayes.classify tagger.text (text_ids tagger s)
   | Learn.Classifier.Number x -> Learn.Gaussian_nb.classify tagger.numeric x
 
 (* TBag statistics: for tag g and label v, score(g,v) = P(v|g) * P(g|v);
@@ -110,18 +119,49 @@ let teacher target_db =
   {
     Clustered_view_gen.teacher_name = "tgt-class";
     prepare =
-      (fun ~table ~h ~label_of ~train ->
-        let tbag = Tbag.create () in
-        Array.iter
-          (fun row ->
-            match tag tagger (Clustered_view_gen.feature_of table ~h row) with
-            | None -> ()
-            | Some g -> Tbag.observe tbag ~tag:g ~label:(label_of row))
-          train;
-        fun row ->
-          match tag tagger (Clustered_view_gen.feature_of table ~h row) with
-          | None -> Tbag.most_common_label tbag
-          | Some g -> Tbag.best_cat tbag g);
+      (fun table ~h ->
+        (* The tagger is fixed, so each distinct h-value is tagged once
+           per call and every evaluation reuses the tag. *)
+        let features =
+          Array.map (Clustered_view_gen.feature_of table ~h) (Relational.Table.rows table)
+        in
+        let by_value = Hashtbl.create 64 in
+        let tags = Array.make (Array.length features) None in
+        let tag_of i =
+          match tags.(i) with
+          | Some g -> g
+          | None ->
+            let feature = features.(i) in
+            let g =
+              match Hashtbl.find_opt by_value feature with
+              | Some g -> g
+              | None ->
+                let g =
+                  match feature with
+                  | Learn.Classifier.Text s ->
+                    let ids = text_ids tagger s in
+                    Obs.Metrics.add "infer.tokens_encoded" (Array.length ids);
+                    Learn.Naive_bayes.classify tagger.text ids
+                  | Learn.Classifier.Number _ | Learn.Classifier.Missing -> tag tagger feature
+                in
+                Hashtbl.add by_value feature g;
+                g
+            in
+            tags.(i) <- Some g;
+            g
+        in
+        fun ~label_of ~train ->
+          let tbag = Tbag.create () in
+          Array.iter
+            (fun i ->
+              match tag_of i with
+              | None -> ()
+              | Some g -> Tbag.observe tbag ~tag:g ~label:(label_of i))
+            train;
+          fun i ->
+            match tag_of i with
+            | None -> Tbag.most_common_label tbag
+            | Some g -> Tbag.best_cat tbag g);
   }
 
 let infer target_db =

@@ -16,8 +16,30 @@ let of_grams grams =
   Array.iteri (fun i g -> Hashtbl.replace ids g i) grams;
   { grams; ids; xlat = [] }
 
+(* Each distinct gram gets one cell, filled with its id once the
+   dictionary is built, so no occurrence is looked up a second time.
+   An item's gram list dies as soon as its cells are taken, so the
+   bulk of the cutting is young garbage. *)
+let intern grams items =
+  let cells = Hashtbl.create 512 in
+  let cell g =
+    match Hashtbl.find_opt cells g with
+    | Some c -> c
+    | None ->
+      let c = ref (-1) in
+      Hashtbl.add cells g c;
+      c
+  in
+  let docs = Array.map (fun item -> Array.of_list (List.map cell (grams item))) items in
+  let t = of_grams (Hashtbl.fold (fun g _ acc -> g :: acc) cells []) in
+  Hashtbl.iter (fun g c -> c := Hashtbl.find t.ids g) cells;
+  (t, Array.map (Array.map ( ! )) docs)
+
 let find t g = Hashtbl.find_opt t.ids g
 let mem t g = Hashtbl.mem t.ids g
+let encode t grams =
+  Array.of_list (List.map (fun g -> match find t g with Some i -> i | None -> -1) grams)
+
 let gram t i = t.grams.(i)
 let size t = Array.length t.grams
 

@@ -24,8 +24,17 @@ val of_grams : string list -> t
 (** Build a frozen dictionary of the distinct grams (duplicates are
     fine); ids follow [String.compare] order. *)
 
+val intern : ('a -> string list) -> 'a array -> t * int array array
+(** [intern grams items] builds the dictionary of the grams of every
+    item and returns each item's ids, in token order.  [grams] is called
+    once per item, and each gram occurrence is hashed once. *)
+
 val find : t -> string -> int option
 val mem : t -> string -> bool
+
+val encode : t -> string list -> int array
+(** The ids of a gram sequence, in order; a gram outside the dictionary
+    maps to [-1]. *)
 
 val gram : t -> int -> string
 (** Inverse of {!find}; raises [Invalid_argument] out of range. *)

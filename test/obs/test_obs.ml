@@ -240,6 +240,44 @@ let test_counters_jobs_invariant () =
   Alcotest.(check string) "counters independent of --jobs" (show seq)
     (show (counters_for ~jobs:4))
 
+(* --- spans and counters inside infer_views ----------------------------- *)
+
+let is_suffix ~suffix s =
+  let n = String.length suffix and m = String.length s in
+  m >= n && String.sub s (m - n) n = suffix
+
+let test_infer_instrumentation () =
+  let run ~jobs =
+    with_recorder @@ fun () ->
+    ignore (retail_run ~jobs ~seed:5);
+    let snap = Obs.Metrics.snapshot () in
+    let counter name = Obs.Metrics.counter_value snap name in
+    let events = Obs.Recorder.events () in
+    let named name = List.filter (fun (e : Obs.Recorder.event) -> e.name = name) events in
+    (counter "infer.evaluations", counter "infer.tokens_encoded", named)
+  in
+  let evaluations, tokens, named = run ~jobs:1 in
+  Alcotest.(check bool) "evaluations counted" true (evaluations > 0);
+  Alcotest.(check bool) "tokens counted" true (tokens > 0);
+  Alcotest.(check int) "one evaluate span per evaluation" evaluations
+    (List.length (named "infer.evaluate"));
+  Alcotest.(check bool) "columns encoded" true (named "infer.encode" <> []);
+  let nested ~suffix name =
+    List.iter
+      (fun (e : Obs.Recorder.event) ->
+        if not (is_suffix ~suffix e.path) then Alcotest.failf "%s at %s" name e.path)
+      (named name)
+  in
+  nested ~suffix:"infer_views/infer.encode" "infer.encode";
+  nested ~suffix:"infer_views/infer.evaluate" "infer.evaluate";
+  nested ~suffix:"infer_views/infer.evaluate/infer.train" "infer.train";
+  nested ~suffix:"infer_views/infer.evaluate/infer.classify" "infer.classify";
+  Alcotest.(check int) "train per evaluation" evaluations (List.length (named "infer.train"));
+  Alcotest.(check int) "classify per evaluation" evaluations (List.length (named "infer.classify"));
+  let evaluations', tokens', _ = run ~jobs:4 in
+  Alcotest.(check int) "evaluations independent of --jobs" evaluations evaluations';
+  Alcotest.(check int) "tokens independent of --jobs" tokens tokens'
+
 (* --- exporters --------------------------------------------------------- *)
 
 let test_exporters_json () =
@@ -306,6 +344,7 @@ let () =
           Alcotest.test_case "disabled recorder is invisible" `Quick test_disabled_invisible;
           Alcotest.test_case "spans nest across pool fan-out" `Quick test_span_nesting;
           Alcotest.test_case "counters independent of jobs" `Slow test_counters_jobs_invariant;
+          Alcotest.test_case "infer spans and counters" `Quick test_infer_instrumentation;
           Alcotest.test_case "exporters emit valid JSON" `Quick test_exporters_json;
           Alcotest.test_case "memo stats accessor" `Quick test_memo_stats;
           Alcotest.test_case "profile-cache stats accessor" `Quick test_profile_cache_stats;

@@ -2,45 +2,53 @@
 
 let trigrams = Textsim.Tokenize.trigrams
 
+(* Documents are gram-id arrays; [interned docs] interns every gram of
+   [docs] and returns the dictionary and the encoder. *)
+let interned docs =
+  let dict = Textsim.Gram_dict.of_grams (List.concat docs) in
+  (Textsim.Gram_dict.size dict, Textsim.Gram_dict.encode dict)
+
 let test_nb_untrained () =
-  let nb = Learn.Naive_bayes.create () in
-  Alcotest.(check bool) "none before training" true (Learn.Naive_bayes.classify nb [ "x" ] = None);
+  let nb = Learn.Naive_bayes.create ~ids:1 () in
+  Alcotest.(check bool) "none before training" true (Learn.Naive_bayes.classify nb [| 0 |] = None);
   Alcotest.(check (list string)) "no labels" [] (Learn.Naive_bayes.labels nb)
 
 let test_nb_separable () =
-  let nb = Learn.Naive_bayes.create () in
-  List.iter (fun d -> Learn.Naive_bayes.train nb ~label:"book" (trigrams d))
-    [ "the secret history"; "a shadow of empire"; "the forgotten kingdom" ];
-  List.iter (fun d -> Learn.Naive_bayes.train nb ~label:"music" (trigrams d))
-    [ "dance baby tonight"; "midnight groove"; "funky rhythm fever" ];
+  let books = [ "the secret history"; "a shadow of empire"; "the forgotten kingdom" ] in
+  let music = [ "dance baby tonight"; "midnight groove"; "funky rhythm fever" ] in
+  let queries = [ "the secret kingdom"; "funky dance groove" ] in
+  let ids, encode = interned (List.map trigrams (books @ music @ queries)) in
+  let nb = Learn.Naive_bayes.create ~ids () in
+  List.iter (fun d -> Learn.Naive_bayes.train nb ~label:"book" (encode (trigrams d))) books;
+  List.iter (fun d -> Learn.Naive_bayes.train nb ~label:"music" (encode (trigrams d))) music;
   Alcotest.(check (option string)) "bookish" (Some "book")
-    (Learn.Naive_bayes.classify nb (trigrams "the secret kingdom"));
+    (Learn.Naive_bayes.classify nb (encode (trigrams "the secret kingdom")));
   Alcotest.(check (option string)) "musicish" (Some "music")
-    (Learn.Naive_bayes.classify nb (trigrams "funky dance groove"))
+    (Learn.Naive_bayes.classify nb (encode (trigrams "funky dance groove")))
 
 let test_nb_prior_dominates_on_empty_features () =
-  let nb = Learn.Naive_bayes.create () in
-  for _ = 1 to 9 do Learn.Naive_bayes.train nb ~label:"common" [ "aa" ] done;
-  Learn.Naive_bayes.train nb ~label:"rare" [ "zz" ];
+  let nb = Learn.Naive_bayes.create ~ids:2 () in
+  for _ = 1 to 9 do Learn.Naive_bayes.train nb ~label:"common" [| 0 |] done;
+  Learn.Naive_bayes.train nb ~label:"rare" [| 1 |];
   Alcotest.(check (option string)) "prior wins with no evidence" (Some "common")
-    (Learn.Naive_bayes.classify nb [])
+    (Learn.Naive_bayes.classify nb [||])
 
 let test_nb_margin () =
-  let nb = Learn.Naive_bayes.create () in
-  Learn.Naive_bayes.train nb ~label:"only" [ "x" ];
-  match Learn.Naive_bayes.classify_with_margin nb [ "x" ] with
+  let nb = Learn.Naive_bayes.create ~ids:1 () in
+  Learn.Naive_bayes.train nb ~label:"only" [| 0 |];
+  match Learn.Naive_bayes.classify_with_margin nb [| 0 |] with
   | Some (l, m) ->
     Alcotest.(check string) "label" "only" l;
     Alcotest.(check bool) "infinite margin" true (m = Float.infinity)
   | None -> Alcotest.fail "expected a label"
 
 let test_nb_deterministic_ties () =
-  let nb = Learn.Naive_bayes.create () in
-  Learn.Naive_bayes.train nb ~label:"b" [ "t" ];
-  Learn.Naive_bayes.train nb ~label:"a" [ "t" ];
+  let nb = Learn.Naive_bayes.create ~ids:1 () in
+  Learn.Naive_bayes.train nb ~label:"b" [| 0 |];
+  Learn.Naive_bayes.train nb ~label:"a" [| 0 |];
   (* same likelihoods, same priors: lexicographic tie-break *)
   Alcotest.(check (option string)) "tie to lexicographic" (Some "a")
-    (Learn.Naive_bayes.classify nb [ "t" ])
+    (Learn.Naive_bayes.classify nb [| 0 |])
 
 let test_gnb_separable () =
   let g = Learn.Gaussian_nb.create () in
@@ -75,41 +83,44 @@ let test_gnb_untrained () =
   Alcotest.(check bool) "none" true (Learn.Gaussian_nb.classify g 1.0 = None)
 
 let test_classifier_dispatch () =
-  let c = Learn.Classifier.create () in
-  Learn.Classifier.train c ~label:"text" (Learn.Classifier.Text "hello world");
-  Learn.Classifier.train c ~label:"num" (Learn.Classifier.Number 5.0);
+  let column =
+    Learn.Classifier.(
+      column [| Text "hello world"; Number 5.0; Text "hello"; Number 5.1; Missing |])
+  in
+  let c = Learn.Classifier.create column in
+  Learn.Classifier.train c ~label:"text" 0;
+  Learn.Classifier.train c ~label:"num" 1;
   Alcotest.(check bool) "trained" true (Learn.Classifier.trained c);
-  Alcotest.(check (option string)) "text goes to nb" (Some "text")
-    (Learn.Classifier.classify c (Learn.Classifier.Text "hello"));
+  Alcotest.(check (option string)) "text goes to nb" (Some "text") (Learn.Classifier.classify c 2);
   Alcotest.(check (option string)) "number goes to gaussian" (Some "num")
-    (Learn.Classifier.classify c (Learn.Classifier.Number 5.1));
-  Alcotest.(check bool) "missing is none" true
-    (Learn.Classifier.classify c Learn.Classifier.Missing = None)
+    (Learn.Classifier.classify c 3);
+  Alcotest.(check bool) "missing is none" true (Learn.Classifier.classify c 4 = None)
 
 let test_classifier_missing_ignored_in_training () =
-  let c = Learn.Classifier.create () in
-  Learn.Classifier.train c ~label:"x" Learn.Classifier.Missing;
+  let c = Learn.Classifier.create (Learn.Classifier.column [| Learn.Classifier.Missing |]) in
+  Learn.Classifier.train c ~label:"x" 0;
   Alcotest.(check bool) "still untrained" false (Learn.Classifier.trained c)
 
 let test_classifier_numeric_text_fallback () =
   (* trained only on numbers; a numeric string should be read as one *)
-  let c = Learn.Classifier.create () in
-  Learn.Classifier.train c ~label:"low" (Learn.Classifier.Number 1.0);
-  Learn.Classifier.train c ~label:"high" (Learn.Classifier.Number 100.0);
-  Alcotest.(check (option string)) "parsed" (Some "high")
-    (Learn.Classifier.classify c (Learn.Classifier.Text "99"));
-  Alcotest.(check bool) "unparsable none" true
-    (Learn.Classifier.classify c (Learn.Classifier.Text "abc") = None)
+  let column =
+    Learn.Classifier.(column [| Number 1.0; Number 100.0; Text "99"; Text "abc" |])
+  in
+  let c = Learn.Classifier.create column in
+  Learn.Classifier.train c ~label:"low" 0;
+  Learn.Classifier.train c ~label:"high" 1;
+  Alcotest.(check (option string)) "parsed" (Some "high") (Learn.Classifier.classify c 2);
+  Alcotest.(check bool) "unparsable none" true (Learn.Classifier.classify c 3 = None)
 
-let test_classifier_external () =
-  let c = Learn.Classifier.of_fun (fun _ -> Some "fixed") in
-  Alcotest.(check (option string)) "external" (Some "fixed")
-    (Learn.Classifier.classify c (Learn.Classifier.Text "x"));
-  Alcotest.(check bool) "training rejected" true
-    (try
-       Learn.Classifier.train c ~label:"x" (Learn.Classifier.Text "y");
-       false
-     with Invalid_argument _ -> true)
+let test_classifier_number_text_fallback () =
+  (* trained only on text; a number is classified on the grams of its
+     rendering, which may include grams the column never held as text *)
+  let column = Learn.Classifier.(column [| Text "12 apples"; Text "pears"; Number 12.0; Number 7.5 |]) in
+  let c = Learn.Classifier.create column in
+  Learn.Classifier.train c ~label:"apple" 0;
+  Learn.Classifier.train c ~label:"pear" 1;
+  Alcotest.(check (option string)) "shared grams" (Some "apple") (Learn.Classifier.classify c 2);
+  Alcotest.(check bool) "unseen grams still classified" true (Learn.Classifier.classify c 3 <> None)
 
 let test_majority_prior () =
   Alcotest.(check (float 1e-9)) "prior" 0.6
@@ -168,7 +179,7 @@ let suite =
     Alcotest.test_case "classifier dispatch" `Quick test_classifier_dispatch;
     Alcotest.test_case "classifier ignores missing" `Quick test_classifier_missing_ignored_in_training;
     Alcotest.test_case "classifier numeric-text fallback" `Quick test_classifier_numeric_text_fallback;
-    Alcotest.test_case "classifier external" `Quick test_classifier_external;
+    Alcotest.test_case "classifier number-text fallback" `Quick test_classifier_number_text_fallback;
     Alcotest.test_case "majority prior" `Quick test_majority_prior;
     Alcotest.test_case "evaluation significant" `Quick test_evaluation_significant;
     Alcotest.test_case "evaluation insignificant" `Quick test_evaluation_insignificant_random;
